@@ -4,8 +4,7 @@ The quantity that matters for the serving north star is releases/second.
 Cold = a fresh mechanism per release (per-release recalibration, what naive
 use of the paper's algorithms costs); warm = one :class:`PrivacyEngine` whose
 calibration cache is hot, answering batches with a single vectorized noise
-draw.  The recorded artifact is JSON (``results/engine_throughput.json``)
-matching the shape of ``python -m repro throughput``.
+draw.  The recorded artifact is JSON (``results/engine_throughput.json``).
 
 The MQM chain workload here is the acceptance workload for the engine: the
 warm/batched path must be at least 10x faster than per-release
@@ -133,14 +132,14 @@ def test_warm_batch_release_rate(benchmark, workload):
 
 def test_disk_cache_round_trip_speed(tmp_path, workload):
     """A second process (simulated by a fresh mechanism + cache object over
-    the same JSON file) skips the quilt search entirely."""
-    from repro.serving import CalibrationCache, JSONFileCache
+    the same SQLite file) skips the quilt search entirely."""
+    from repro.serving import CalibrationCache, SQLiteCache
 
     family, data, query = workload
-    path = tmp_path / "calibrations.json"
+    path = tmp_path / "calibrations.sqlite"
     first = PrivacyEngine(
         MQMExact(family, EPSILON, max_window=WINDOW),
-        cache=CalibrationCache(JSONFileCache(path)),
+        cache=CalibrationCache(SQLiteCache(path)),
     )
     cold = time.perf_counter()
     first.calibrate(query, data)
@@ -148,7 +147,7 @@ def test_disk_cache_round_trip_speed(tmp_path, workload):
 
     second = PrivacyEngine(
         MQMExact(family, EPSILON, max_window=WINDOW),
-        cache=CalibrationCache(JSONFileCache(path)),
+        cache=CalibrationCache(SQLiteCache(path)),
     )
     warm = time.perf_counter()
     calibration = second.calibrate(query, data)

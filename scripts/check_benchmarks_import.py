@@ -47,7 +47,7 @@ STDLIB_ONLY = frozenset(
         "repro.staticcheck",
         "repro.staticcheck.cli",
         "repro.staticcheck.rules",
-        "repro.utils.filelock",
+        "repro.utils.sqlitedb",
         "repro.__main__",
     }
 )

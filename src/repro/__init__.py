@@ -90,7 +90,7 @@ _LAZY_EXPORTS: "dict[str, str]" = {
     "ParallelCalibrator": "repro.parallel",
     "CalibrationCache": "repro.serving",
     "InMemoryLRUCache": "repro.serving",
-    "JSONFileCache": "repro.serving",
+    "SQLiteCache": "repro.serving",
     "PrivacyEngine": "repro.serving",
     "ReleaseSession": "repro.serving",
     "DiscreteBayesianNetwork": "repro.distributions",

@@ -29,9 +29,8 @@ class ReproError(Exception):
     #: succeed.  The service layer turns it into a ``Retry-After`` response
     #: header.  ``None`` (the default) means either "retrying cannot help"
     #: (a validation error, a permanently spent budget) or "no estimate";
-    #: raise sites that *know* the horizon — lock contention bounded by the
-    #: lock timeout, budget held by reservations bounded by the reservation
-    #: TTL — set an instance attribute.
+    #: raise sites that *know* the horizon — budget held by reservations,
+    #: bounded by the reservation TTL — set an instance attribute.
     retry_after: "float | None" = None
 
     def payload(self) -> dict:

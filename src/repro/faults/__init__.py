@@ -2,11 +2,11 @@
 
 The budget ledger's exactness guarantees ("spent exactly once", "never
 strand epsilon") are only trustworthy if they hold under *failure* —
-stores that throw mid-commit, locks that time out, clients that vanish
-between reserve and consume.  This package provides the machinery to
+stores that throw mid-commit, databases that stay locked, clients that
+vanish between reserve and consume.  This package provides the machinery to
 prove that: named **fault points** compiled into the hot paths
 (:class:`~repro.service.stores.LedgerStore` transactions, the
-:class:`~repro.serving.cache.JSONFileCache` flush,
+:class:`~repro.serving.cache.SQLiteCache` writes,
 :class:`~repro.service.ledger.TenantLedger` operations, the ASGI app),
 and a seeded :class:`FaultInjector` that fires configured faults at them
 — transient errors, latency, or simulated crashes — on a reproducible

@@ -3,12 +3,12 @@
 The model has three pieces:
 
 * **Fault points** are string names compiled into production code —
-  ``"ledger.json.commit.replace"``, ``"tenant.consume"``,
+  ``"ledger.sqlite.commit"``, ``"tenant.consume"``,
   ``"app.request"`` — each a call to :func:`fire` with keyword context
   (tenant, path, ...).  The full catalogue lives in ``docs/api.md``.
 * **Rules** (:class:`FaultRule`) match points by ``fnmatch`` pattern and
-  describe one fault: raise a transient error (``io`` / ``lock_timeout``
-  / ``sqlite_busy``), sleep (``latency``), simulate a crash in-process
+  describe one fault: raise a transient error (``io`` /
+  ``sqlite_busy``), sleep (``latency``), simulate a crash in-process
   (``crash`` — raises :class:`SimulatedCrashError`, which crash-path
   cleanup handlers deliberately do *not* tidy up after, so partial state
   is left behind exactly as a power loss would), or kill the process for
@@ -42,7 +42,6 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import contextlib
 
 from repro.exceptions import ValidationError
-from repro.utils.filelock import LockTimeoutError
 
 
 class SimulatedCrashError(BaseException):
@@ -50,10 +49,9 @@ class SimulatedCrashError(BaseException):
 
     Derives from :class:`BaseException` (not :class:`Exception`) so it
     sails through ``except Exception`` recovery paths the way a real
-    crash would, and carries ``simulates_crash = True`` so the few
-    crash-path cleanup handlers that catch ``BaseException`` (the
-    temp-file unlinks in the stores) know to leave partial state on disk
-    — cleaning up would defeat the point of simulating a crash.
+    crash would, and carries ``simulates_crash = True`` so any cleanup
+    handler that catches ``BaseException`` knows to leave partial state
+    behind — cleaning up would defeat the point of simulating a crash.
     """
 
     simulates_crash = True
@@ -63,10 +61,6 @@ def _make_io_error(message: str) -> BaseException:
     return OSError(errno.EIO, message)
 
 
-def _make_lock_timeout(message: str) -> BaseException:
-    return LockTimeoutError(message)
-
-
 def _make_sqlite_busy(message: str) -> BaseException:
     return sqlite3.OperationalError(f"database is locked ({message})")
 
@@ -74,7 +68,6 @@ def _make_sqlite_busy(message: str) -> BaseException:
 #: Named transient-error families an ``error`` rule can raise.
 ERROR_KINDS: "dict[str, Callable[[str], BaseException]]" = {
     "io": _make_io_error,
-    "lock_timeout": _make_lock_timeout,
     "sqlite_busy": _make_sqlite_busy,
 }
 
@@ -92,7 +85,7 @@ class FaultRule:
     Parameters
     ----------
     point:
-        ``fnmatch`` pattern over fault-point names (``"ledger.json.*"``).
+        ``fnmatch`` pattern over fault-point names (``"ledger.sqlite.*"``).
     action:
         ``"error"`` (raise ``ERROR_KINDS[error]``), ``"latency"`` (sleep
         ``delay`` seconds), ``"crash"`` (raise

@@ -31,33 +31,9 @@ FAULT_POINTS: "dict[str, str]" = {
         "ASGI dispatch, after routing but before the handler runs — "
         "faults the request path itself"
     ),
-    "cache.flush": (
-        "JSONFileCache flush, before the temp file is written — "
-        "a calibration-cache write that never starts"
-    ),
-    "cache.flush.after": (
-        "JSONFileCache flush, after the atomic replace — a crash with "
-        "the new cache contents already durable"
-    ),
-    "cache.flush.replace": (
-        "JSONFileCache flush, between temp-file write and atomic "
-        "replace — a crash that strands the temp file"
-    ),
-    "ledger.json.commit": (
-        "JSON store commit, before the state file is rewritten — "
-        "a transaction that dies with nothing durable"
-    ),
-    "ledger.json.commit.after": (
-        "JSON store commit, after the atomic replace — a crash the "
-        "client sees as failure but the ledger recorded"
-    ),
-    "ledger.json.commit.replace": (
-        "JSON store commit, between temp-file write and atomic "
-        "replace — torn-write territory"
-    ),
-    "ledger.json.read": (
-        "JSON store transaction entry, while reading ledger state "
-        "off disk"
+    "cache.sqlite.put": (
+        "SQLiteCache put, before the upsert — a calibration-cache write "
+        "that never lands"
     ),
     "ledger.memory.commit": (
         "in-memory store commit, before state is swapped in"

@@ -38,9 +38,9 @@ their own ledger.
 **Errors are structured.**  Every refusal maps an exception's
 ``http_status`` — 400 validation, 404 unknown tenant/session, 409
 reservation conflicts, 410 dead reservations, 429 budget exhausted (with
-the exact ``spent`` / ``remaining`` ledger in the body), 503 lock
-timeouts.  Handlers never return partial work: a refused release records
-and returns nothing.
+the exact ``spent`` / ``remaining`` ledger in the body), 503 transient
+store errors (a busy database, an I/O blip).  Handlers never return
+partial work: a refused release records and returns nothing.
 
 The app itself (:class:`AsgiApp`) is a dependency-free ASGI 3 callable —
 serve it with :mod:`repro.service.server` (stdlib asyncio), any external
@@ -72,7 +72,12 @@ from repro.faults import current as current_injector
 from repro.faults import fire
 from repro.serving.engine import PrivacyEngine
 from repro.service.ledger import ReservationAccountant, TenantLedger
-from repro.service.retry import RetryPolicy, RetryingLedgerStore, with_retries
+from repro.service.retry import (
+    RetryPolicy,
+    RetryingLedgerStore,
+    is_transient_store_error,
+    with_retries,
+)
 from repro.service.schemas import (
     get_bool,
     get_float,
@@ -150,14 +155,14 @@ class _StreamState:
 class PrivacyService:
     """The service core: workloads, tenant ledgers, streaming sessions.
 
-    All handlers are synchronous (store transactions are blocking file or
-    SQLite work); :class:`AsgiApp` runs them on worker threads.
+    All handlers are synchronous (store transactions are blocking SQLite
+    work); :class:`AsgiApp` runs them on worker threads.
 
     Parameters
     ----------
     store:
-        A :class:`~repro.service.stores.LedgerStore`, a path (``.sqlite`` /
-        ``.db`` suffixes select SQLite, anything else the JSON file store),
+        A :class:`~repro.service.stores.LedgerStore`, a SQLite path
+        (``.sqlite`` / ``.sqlite3`` / ``.db``; any other suffix is refused),
         or ``None`` for in-memory (no durability; tests and demos).
     workloads:
         Hosted workloads by name; defaults to :func:`default_workloads`.
@@ -165,7 +170,7 @@ class PrivacyService:
         Abandoned-reservation TTL forwarded to every
         :class:`~repro.service.ledger.TenantLedger`.
     retry_policy:
-        Transient store errors (lock timeouts, SQLite busy, EIO) are
+        Transient store errors (SQLite busy, EIO) are
         absorbed by wrapping the store in a
         :class:`~repro.service.retry.RetryingLedgerStore` — pass a
         :class:`~repro.service.retry.RetryPolicy` to tune, ``None`` for
@@ -744,9 +749,6 @@ class AsgiApp:
             return 200, result, []
         except _MethodNotAllowed as error:
             return 405, {"error": "MethodNotAllowed", "message": str(error)}, []
-        # ReproError before asyncio.TimeoutError: LockTimeoutError subclasses
-        # both (TimeoutError IS asyncio.TimeoutError on 3.11+), and a store
-        # lock timeout must map to its own 503, not the deadline's.
         except ReproError as error:
             headers: list[tuple[bytes, bytes]] = []
             if error.retry_after is not None:
@@ -769,6 +771,18 @@ class AsgiApp:
                 [(b"retry-after", str(retry_after).encode())],
             )
         except Exception as error:
+            if is_transient_store_error(error):
+                # Store contention or an I/O blip that outlasted any retry:
+                # the request may well succeed if the client repeats it.
+                return (
+                    503,
+                    {
+                        "error": type(error).__name__,
+                        "message": str(error),
+                        "retry_after": 1,
+                    },
+                    [(b"retry-after", b"1")],
+                )
             # A real bug, not a refusal: fail the request, not the server.
             # (SimulatedCrashError is a BaseException and deliberately NOT
             # caught — a simulated crash must escape like a real one.)

@@ -1,9 +1,8 @@
 """Transient-failure retry for ledger stores: bounded backoff with jitter.
 
-A durable store under load throws *transient* errors — the JSON store's
-lock sidecar times out (:class:`~repro.utils.filelock.LockTimeoutError`),
-SQLite reports ``database is locked`` past its busy timeout, a network
-filesystem hiccups an ``EIO`` — none of which mean the operation cannot
+A durable store under load throws *transient* errors — SQLite reports
+``database is locked`` past its busy timeout, a network filesystem
+hiccups an ``EIO`` — neither of which means the operation cannot
 succeed, only that it could not succeed *now*.  Surfacing every one as a
 503 wastes work the client will simply retry over HTTP (more load, more
 contention); hanging forever violates request deadlines.
@@ -11,7 +10,7 @@ contention); hanging forever violates request deadlines.
 :class:`RetryingLedgerStore` wraps any
 :class:`~repro.service.stores.LedgerStore` and retries the **acquisition
 phase** of a transaction (entering :meth:`~repro.service.stores.
-LedgerStore.transact` — where lock timeouts and busy errors live) plus
+LedgerStore.transact` — where busy errors live) plus
 whole :meth:`~repro.service.stores.LedgerStore.run` cycles and reads,
 under a :class:`RetryPolicy`: bounded exponential backoff, full seeded
 jitter (so a thundering herd decorrelates deterministically in tests),
@@ -19,8 +18,8 @@ and a hard wall-clock deadline.
 
 What is deliberately **not** retried:
 
-* Domain refusals (:class:`~repro.exceptions.ReproError` except the lock
-  timeout) — a budget refusal does not become grantable by retrying.
+* Domain refusals (:class:`~repro.exceptions.ReproError`) — a budget
+  refusal does not become grantable by retrying.
 * A *commit* failure inside an open ``with store.transact(...)`` block —
   the caller's inline body cannot be re-run by a wrapper.  Commit-phase
   retry requires the closure form (:meth:`~repro.service.stores.
@@ -42,19 +41,16 @@ from typing import Any, Callable, Iterator
 from repro.exceptions import ReproError, ValidationError
 from repro.faults import fire
 from repro.service.stores import LedgerStore, LedgerTransaction
-from repro.utils.filelock import LockTimeoutError
 
 
 def is_transient_store_error(error: BaseException) -> bool:
     """The default retry predicate.
 
-    Transient: lock-sidecar timeouts, SQLite busy/locked, and plain
-    ``OSError`` (EIO and friends — the disk blipped, not the logic).
-    Never transient: every other :class:`~repro.exceptions.ReproError`
-    (refusals and validation are deterministic) and anything else.
+    Transient: SQLite busy/locked, and plain ``OSError`` (EIO and friends
+    — the disk blipped, not the logic).  Never transient: every
+    :class:`~repro.exceptions.ReproError` (refusals and validation are
+    deterministic) and anything else.
     """
-    if isinstance(error, LockTimeoutError):
-        return True
     if isinstance(error, ReproError):
         return False
     if isinstance(error, sqlite3.OperationalError):

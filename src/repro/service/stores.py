@@ -10,47 +10,34 @@ service makes happens inside one — which is exactly why a thundering herd
 of concurrent sessions can never jointly over-commit a tenant budget: two
 admissions cannot interleave between the read and the write.
 
-This is deliberately *not* the merge-on-write discipline of
-:class:`~repro.serving.cache.JSONFileCache`.  Cache entries are
-content-keyed and deterministic, so concurrent writers can be reconciled
-after the fact by merging; a budget ledger is a counter — merging two
-states that both spent the last epsilon would mint budget out of thin air.
-Ledger writers therefore hold the exclusion for the whole
-read-decide-write cycle, never just the write.
-
-Three backends:
+Two backends:
 
 * :class:`InMemoryLedgerStore` — process-local; the default for tests and
   single-process serving without durability.
-* :class:`JSONFileLedgerStore` — one JSON file, transactions serialized by
-  an :class:`~repro.utils.filelock.InterProcessLock` on a ``<path>.lock``
-  sidecar (flock where available, portable ``O_EXCL`` fallback elsewhere),
-  writes through an atomic temp-file replace.  Zero-dependency and
-  human-inspectable; every transaction rewrites the whole file, so it suits
-  tens of tenants, not thousands.
 * :class:`SQLiteLedgerStore` — a WAL-mode SQLite database, one row per
   tenant, each transaction a ``BEGIN IMMEDIATE`` cycle so concurrent
-  writers queue on SQLite's own cross-process locking.  The natural
-  production default.
+  writers — threads or processes — queue on SQLite's own locking.  The
+  only durable backend.
+
+:func:`ledger_store_from_path` picks one from a ``--store`` path and
+refuses any other suffix: a path the service cannot open as SQLite (an
+old JSON ledger file, say) must fail loudly rather than start a fresh,
+empty ledger that silently resets every tenant's budget.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sqlite3
-import tempfile
 import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.exceptions import ValidationError
 from repro.faults import fire
-from repro.utils.filelock import InterProcessLock
-
-from typing import Callable
+from repro.utils.sqlitedb import connect
 
 
 class LedgerTransaction:
@@ -123,7 +110,7 @@ class InMemoryLedgerStore(LedgerStore):
     irrelevant at in-memory speeds and a single lock cannot deadlock.
     States are deep-copied through JSON on the way in and out, so a
     handler mutating a peeked state cannot corrupt the store and the
-    store behaves byte-for-byte like its durable siblings.
+    store behaves byte-for-byte like its durable sibling.
     """
 
     def __init__(self) -> None:
@@ -152,132 +139,16 @@ class InMemoryLedgerStore(LedgerStore):
             return sorted(self._states)
 
 
-class JSONFileLedgerStore(LedgerStore):
-    """One JSON file ``{tenant: state}`` with lock-held transactions.
-
-    Unlike the calibration cache's merge-on-write, the inter-process lock
-    is held for the **entire** read-modify-write cycle (ledger states do
-    not merge; see the module docstring), and the in-memory copy is never
-    trusted across transactions — every transaction re-reads the file, so
-    any number of processes sharing the path see one serialized history.
-    The commit is an atomic temp-file ``os.replace``, so a crash mid-write
-    leaves the previous state intact.
-    """
-
-    def __init__(self, path: str | Path, *, lock_timeout: float = 60.0) -> None:
-        self.path = Path(path)
-        self._lock_path = Path(str(self.path) + ".lock")
-        self._lock_timeout = float(lock_timeout)
-        self._thread_lock = threading.RLock()
-        self._closed = False
-
-    @property
-    def lock_timeout(self) -> float:
-        return self._lock_timeout
-
-    def _read(self) -> dict[str, Any]:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return {}
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValidationError(
-                f"ledger store file {self.path} is corrupt: {error}"
-            ) from error
-        if not isinstance(loaded, dict):
-            raise ValidationError(
-                f"ledger store file {self.path} must hold a JSON object"
-            )
-        return loaded
-
-    def _write(self, states: dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Any temp file matching our prefix belongs to a *dead* transaction
-        # (live writers hold the inter-process lock we are inside), so a
-        # crash between mkstemp and os.replace never accumulates garbage
-        # past the next successful commit.
-        self._sweep_orphans()
-        handle, temp_path = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(states, stream)
-            fire("ledger.json.commit.replace", path=str(self.path))
-            os.replace(temp_path, self.path)
-        except BaseException as error:
-            # A *simulated crash* must leave the temp file behind exactly
-            # as a power loss would — the orphan sweep above is what cleans
-            # it up; unlinking here would untest that path.
-            if not getattr(error, "simulates_crash", False):
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-            raise
-
-    def _sweep_orphans(self) -> None:
-        """Unlink temp files crashed writers left beside the store (called
-        with the inter-process lock held)."""
-        for orphan in self.path.parent.glob(f"{self.path.name}*.tmp"):
-            with contextlib.suppress(OSError):
-                orphan.unlink()
-
-    @contextlib.contextmanager
-    def transact(self, tenant: str) -> Iterator[LedgerTransaction]:
-        with self._thread_lock:
-            if self._closed:
-                raise ValidationError(
-                    f"ledger store {self.path} is closed; open a new store"
-                )
-            fire("ledger.json.read", tenant=tenant, path=str(self.path))
-            with InterProcessLock(
-                self._lock_path, timeout=self._lock_timeout
-            ):
-                states = self._read()
-                txn = LedgerTransaction(tenant, states.get(tenant))
-                yield txn
-                if txn.state is not None:
-                    fire("ledger.json.commit", tenant=tenant, path=str(self.path))
-                    states[tenant] = txn.state
-                    self._write(states)
-                    fire(
-                        "ledger.json.commit.after",
-                        tenant=tenant,
-                        path=str(self.path),
-                    )
-
-    def close(self) -> None:
-        """Refuse new transactions; in-flight ones finish normally.
-
-        Safe with a transaction in flight: callers on other threads are
-        waited out (the thread lock serializes us behind them), a caller on
-        *this* thread (the lock is reentrant) keeps its already-admitted
-        transaction, and either way the per-transaction
-        :class:`~repro.utils.filelock.InterProcessLock` is released by its
-        own ``with`` block — never stranding the lock sidecar for other
-        processes to wait out.  Idempotent.
-        """
-        with self._thread_lock:
-            self._closed = True
-
-    def peek(self, tenant: str) -> "dict[str, Any] | None":
-        # Lock-free: os.replace is atomic, so this sees a committed file.
-        return self._read().get(tenant)
-
-    def tenants(self) -> list[str]:
-        return sorted(self._read())
-
-
 class SQLiteLedgerStore(LedgerStore):
     """A WAL-mode SQLite database, one state row per tenant.
 
     ``BEGIN IMMEDIATE`` takes SQLite's write lock at transaction *start*
     (not first write), so the whole read-decide-write cycle is exclusive
-    across processes; concurrent writers queue on ``busy_timeout`` instead
-    of failing.  WAL mode keeps readers unblocked and makes single-row
-    commits cheap.  One connection per store instance, serialized by a
-    thread lock — open one store per thread or share one; both are safe.
+    across processes; concurrent writers queue on the busy timeout
+    (:data:`~repro.utils.sqlitedb.BUSY_TIMEOUT_S`) instead of failing.  WAL
+    mode keeps readers unblocked and makes single-row commits cheap.  One
+    connection per store instance, serialized by a thread lock — open one
+    store per thread or share one; both are safe.
     """
 
     _SCHEMA = """
@@ -287,23 +158,13 @@ class SQLiteLedgerStore(LedgerStore):
         )
     """
 
-    def __init__(
-        self, path: str | Path, *, busy_timeout_s: float = 60.0
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._thread_lock = threading.RLock()
         self._closed = False
         self._close_pending = False
         self._txn_depth = 0
-        self.busy_timeout_s = float(busy_timeout_s)
-        # Autocommit mode: transaction boundaries are explicit BEGIN/COMMIT,
-        # never implicitly opened by the driver mid-cycle.
-        self._conn = sqlite3.connect(
-            str(self.path), isolation_level=None, check_same_thread=False
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+        self._conn = connect(self.path)
         self._conn.execute(self._SCHEMA)
 
     @contextlib.contextmanager
@@ -394,12 +255,21 @@ class SQLiteLedgerStore(LedgerStore):
             self._conn.close()
 
 
+#: Path suffixes :func:`ledger_store_from_path` opens as SQLite.
+SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+
 def ledger_store_from_path(path: "str | Path | None") -> LedgerStore:
-    """A store for a path: SQLite for ``.sqlite``/``.sqlite3``/``.db``
-    suffixes, the JSON file store otherwise, in-memory for ``None``."""
+    """A store for a path: in-memory for ``None``, SQLite for the
+    :data:`SQLITE_SUFFIXES`; any other path raises ``ValidationError``
+    without touching the file."""
     if path is None:
         return InMemoryLedgerStore()
     path = Path(path)
-    if path.suffix.lower() in (".sqlite", ".sqlite3", ".db"):
-        return SQLiteLedgerStore(path)
-    return JSONFileLedgerStore(path)
+    if path.suffix.lower() not in SQLITE_SUFFIXES:
+        raise ValidationError(
+            f"ledger store path {str(path)!r} must end in one of "
+            f"{', '.join(SQLITE_SUFFIXES)} (a SQLite database), or be "
+            f"omitted for an in-memory store"
+        )
+    return SQLiteLedgerStore(path)

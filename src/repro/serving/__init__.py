@@ -10,7 +10,7 @@ the composition literature on Pufferfish privacy treats as central.
   atomic budget accounting (see :mod:`repro.serving.stream`).
 * :class:`CalibrationCache` — memoizes noise-scale computations, keyed on
   content fingerprints (see :mod:`repro.serving.fingerprint`).
-* Backends: :class:`InMemoryLRUCache` (default) and :class:`JSONFileCache`
+* Backends: :class:`InMemoryLRUCache` (default) and :class:`SQLiteCache`
   (persists calibrations across processes).
 """
 
@@ -18,7 +18,7 @@ from repro.serving.cache import (
     CacheBackend,
     CalibrationCache,
     InMemoryLRUCache,
-    JSONFileCache,
+    SQLiteCache,
 )
 from repro.serving.engine import PrivacyEngine, warm_engines
 from repro.serving.fingerprint import (
@@ -33,9 +33,9 @@ __all__ = [
     "CacheBackend",
     "CalibrationCache",
     "InMemoryLRUCache",
-    "JSONFileCache",
     "PrivacyEngine",
     "ReleaseSession",
+    "SQLiteCache",
     "cache_key",
     "data_signature",
     "mechanism_fingerprint",

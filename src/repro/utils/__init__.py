@@ -1,8 +1,8 @@
-"""Shared utilities: input validation and random-generator handling.
+"""Shared utilities: input validation, random-generator handling, SQLite.
 
-Names resolve lazily (PEP 562): :mod:`repro.utils.filelock` is pure
-stdlib and is imported by the (also stdlib-only) fault-injection and
-lint tooling, so importing this package must not drag in the
+Names resolve lazily (PEP 562): :mod:`repro.utils.sqlitedb` is pure
+stdlib and is imported by both durable backends (the ledger store and the
+calibration cache), so importing this package must not drag in the
 numpy-backed ``rngtools``/``validation`` modules.
 """
 
@@ -30,7 +30,7 @@ def __getattr__(name: str) -> Any:
         value = getattr(importlib.import_module(module_name), name)
         globals()[name] = value
         return value
-    if name in ("filelock", "rngtools", "validation"):
+    if name in ("rngtools", "sqlitedb", "validation"):
         module = importlib.import_module(f"repro.utils.{name}")
         globals()[name] = module
         return module

@@ -37,7 +37,7 @@ from repro.exceptions import BudgetExhaustedError, ReproError
 from repro.faults import FaultRule, injected
 from repro.service.ledger import TenantLedger
 from repro.service.retry import RetryingLedgerStore, RetryPolicy
-from repro.service.stores import JSONFileLedgerStore, SQLiteLedgerStore
+from repro.service.stores import SQLiteLedgerStore
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -46,12 +46,6 @@ EPSILON = 0.5
 CAP = int(BUDGET / EPSILON)  # 12 releases total, faults notwithstanding
 CHUNK = 2
 TTL = 0.3  # reservation TTL: how long a crashed cycle can strand budget
-
-
-def _make_store(kind: str, tmp_path: Path):
-    if kind == "json":
-        return JSONFileLedgerStore(tmp_path / "ledgers.json")
-    return SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
 
 
 #: The randomized-but-reproducible schedule: transient errors and simulated
@@ -70,7 +64,7 @@ def _chaos_rules() -> list[FaultRule]:
             "ledger.*.commit.after", error="io", probability=0.05, times=None
         ),
         FaultRule(
-            "ledger.json.commit.replace",
+            "ledger.sqlite.commit",
             action="crash",
             probability=0.04,
             times=None,
@@ -140,9 +134,8 @@ def _chaos_worker(store, index: int, errors: list) -> None:
                 # husk strands until the sweep reclaims it.
 
 
-@pytest.mark.parametrize("kind", ["json", "sqlite"])
-def test_chaos_schedule_preserves_budget_exactness(kind, tmp_path):
-    raw = _make_store(kind, tmp_path)
+def test_chaos_schedule_preserves_budget_exactness(tmp_path):
+    raw = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     store = RetryingLedgerStore(
         raw, RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01)
     )
@@ -192,7 +185,7 @@ def test_chaos_schedule_is_reproducible(tmp_path):
     (the injector's whole point: chaos you can re-run under a debugger)."""
 
     def run(seed: int, path: Path) -> "tuple[list, int]":
-        store = JSONFileLedgerStore(path)
+        store = SQLiteLedgerStore(path)
         try:
             ledger = TenantLedger(store, "acme", reservation_ttl=TTL)
             ledger.create(budget=BUDGET)
@@ -209,9 +202,9 @@ def test_chaos_schedule_is_reproducible(tmp_path):
         finally:
             store.close()
 
-    points_a, served_a = run(99, tmp_path / "a.json")
-    points_b, served_b = run(99, tmp_path / "b.json")
-    points_c, _ = run(100, tmp_path / "c.json")
+    points_a, served_a = run(99, tmp_path / "a.sqlite")
+    points_b, served_b = run(99, tmp_path / "b.sqlite")
+    points_c, _ = run(100, tmp_path / "c.sqlite")
     assert points_a == points_b and served_a == served_b
     assert points_a != points_c
 
@@ -252,19 +245,14 @@ print(json.dumps({"served": served}))
 """
 
 
-@pytest.mark.parametrize("kind", ["json", "sqlite"])
-def test_killed_workers_recover_to_exact_budget(kind, tmp_path):
+def test_killed_workers_recover_to_exact_budget(tmp_path):
     """SIGKILL + injected os._exit mid-transaction, one shared store: after
     the recovery sweep and a clean drain, consumed releases land on exactly
     floor(budget / epsilon) and no reservation is stranded."""
-    store = _make_store(kind, tmp_path)
+    store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     path = str(store.path)
     TenantLedger(store, "acme").create(budget=BUDGET)
     store.close()
-
-    commit_point = (
-        "ledger.json.commit.after" if kind == "json" else "ledger.sqlite.commit"
-    )
     # Wave 1: slowed by injected latency (so the parent's SIGKILL lands
     # mid-flight), and armed to exit(17) partway through a commit cycle.
     fault_env = json.dumps(
@@ -277,7 +265,7 @@ def test_killed_workers_recover_to_exact_budget(kind, tmp_path):
                     "delay": 0.05,
                     "times": None,
                 },
-                {"point": commit_point, "action": "exit", "after": 3},
+                {"point": "ledger.sqlite.commit", "action": "exit", "after": 3},
             ],
         }
     )
@@ -311,7 +299,7 @@ def test_killed_workers_recover_to_exact_budget(kind, tmp_path):
 
     # Recovery: wait out the TTL, sweep, and let a clean wave finish.
     time.sleep(TTL + 0.1)
-    reopened = _make_store(kind, tmp_path)
+    reopened = SQLiteLedgerStore(path)
     try:
         ledger = TenantLedger(reopened, "acme", reservation_ttl=TTL)
         ledger.sweep()

@@ -3,10 +3,9 @@
 Covers the injector itself (rule matching, scheduling, determinism, the
 ``REPRO_FAULTS`` wire format), the retrying store wrapper (what retries,
 what must not, backoff/deadline bounds), the fault points compiled into
-every ledger store backend, and the crash-between-``mkstemp``-and-
-``os.replace`` recovery paths of both atomic file writers (ledger store
-and calibration cache): a simulated crash leaves the temp file behind
-exactly as a power loss would, and the next successful commit sweeps it.
+every ledger store backend, and the calibration-cache write path: a
+write that fails or crashes before its upsert stores nothing, and the
+next lookup recomputes.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ from repro.service.retry import (
 )
 from repro.service.stores import (
     InMemoryLedgerStore,
-    JSONFileLedgerStore,
     SQLiteLedgerStore,
 )
-from repro.utils.filelock import LockTimeoutError
 
 
 @pytest.fixture(autouse=True)
@@ -71,15 +68,15 @@ def test_error_rule_raises_each_kind():
 
 def test_fnmatch_patterns_and_context_history():
     injector = FaultInjector(
-        [FaultRule("ledger.json.*", action="error", error="io", times=2)]
+        [FaultRule("ledger.memory.*", action="error", error="io", times=2)]
     )
     injector.fire("ledger.sqlite.commit")  # no match
     with pytest.raises(OSError):
-        injector.fire("ledger.json.commit", tenant="t")
+        injector.fire("ledger.memory.commit", tenant="t")
     with pytest.raises(OSError):
-        injector.fire("ledger.json.read")
-    injector.fire("ledger.json.commit")  # times exhausted
-    assert injector.fired("ledger.json.*") == 2
+        injector.fire("ledger.memory.read")
+    injector.fire("ledger.memory.commit")  # times exhausted
+    assert injector.fired("ledger.memory.*") == 2
     assert injector.fired("ledger.sqlite.*") == 0
     assert injector.history[0]["context"] == {"tenant": "t"}
     stats = injector.stats()
@@ -149,13 +146,13 @@ def test_at_most_one_rule_acts_per_call():
     injector = FaultInjector(
         [
             FaultRule("p", action="error", error="io"),
-            FaultRule("p", action="error", error="lock_timeout", times=None),
+            FaultRule("p", action="error", error="sqlite_busy", times=None),
         ]
     )
     with pytest.raises(OSError):
         injector.fire("p")
     # First rule exhausted; second now gets its turn — and its own counter.
-    with pytest.raises(LockTimeoutError):
+    with pytest.raises(sqlite3.OperationalError):
         injector.fire("p")
 
 
@@ -208,7 +205,6 @@ def test_injector_from_spec_round_trip():
 
 # -- the retrying store wrapper --------------------------------------------
 def test_transient_classification():
-    assert is_transient_store_error(LockTimeoutError("t"))
     assert is_transient_store_error(OSError(5, "eio"))
     assert is_transient_store_error(sqlite3.OperationalError("database is locked"))
     assert not is_transient_store_error(sqlite3.OperationalError("syntax error"))
@@ -351,12 +347,10 @@ def test_retry_policy_validation():
 
 
 # -- store fault points, per backend ---------------------------------------
-@pytest.fixture(params=["memory", "json", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def store_and_kind(request, tmp_path):
     if request.param == "memory":
         store = InMemoryLedgerStore()
-    elif request.param == "json":
-        store = JSONFileLedgerStore(tmp_path / "ledgers.json")
     else:
         store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     yield store, request.param
@@ -365,7 +359,6 @@ def store_and_kind(request, tmp_path):
 
 _COMMIT_POINT = {
     "memory": "ledger.memory.commit",
-    "json": "ledger.json.commit",
     "sqlite": "ledger.sqlite.commit",
 }
 
@@ -385,49 +378,40 @@ def test_commit_fault_persists_nothing(store_and_kind):
     assert consumed.n_consumed == 2
 
 
-def test_crash_between_mkstemp_and_replace_leaves_then_sweeps_tmp(tmp_path):
-    store = JSONFileLedgerStore(tmp_path / "ledgers.json")
-    ledger = _ledger(store)
-    with injected([FaultRule("ledger.json.commit.replace", action="crash")]):
-        with pytest.raises(SimulatedCrashError):
-            ledger.reserve(1, 1.0)
-    orphans = list(tmp_path.glob("ledgers.json*.tmp"))
-    assert len(orphans) == 1  # the crash left its partial write behind
-    assert ledger.snapshot()["n_reservations"] == 0  # nothing committed
-    # The next successful transaction sweeps the orphan before writing.
-    ledger.reserve(1, 1.0)
-    assert list(tmp_path.glob("ledgers.json*.tmp")) == []
-    assert ledger.snapshot()["n_reservations"] == 1
+@pytest.mark.parametrize(
+    "fault",
+    [{"error": "io"}, {"action": "crash"}],
+    ids=["io", "crash"],
+)
+def test_cache_put_fault_stores_nothing_then_recomputes(tmp_path, fault):
+    """A calibration-cache write that dies before its upsert leaves no
+    entry behind — not for this backend, not for another process's — and
+    the next lookup recomputes the calibration and stores it."""
+    from repro.core.mqm_chain import MQMExact
+    from repro.core.queries import StateFrequencyQuery
+    from repro.distributions.chain_family import FiniteChainFamily
+    from repro.distributions.markov import MarkovChain
+    from repro.serving.cache import CalibrationCache, SQLiteCache
 
+    chain = MarkovChain([0.6, 0.4], [[0.85, 0.15], [0.2, 0.8]])
+    mechanism = MQMExact(FiniteChainFamily([chain]), 1.0, max_window=10)
+    query = StateFrequencyQuery(1, 20)
+    data = chain.sample(20, rng=0)
+    path = tmp_path / "calibrations.sqlite"
+    cache = CalibrationCache(SQLiteCache(path))
+    with injected([FaultRule("cache.sqlite.put", **fault)]):
+        with pytest.raises((OSError, SimulatedCrashError)):
+            cache.get_or_compute(mechanism, query, data)
+    assert len(cache) == 0
+    assert len(SQLiteCache(path)) == 0
 
-def test_cache_crash_between_mkstemp_and_replace(tmp_path):
-    from repro.serving.cache import JSONFileCache
-
-    cache = JSONFileCache(tmp_path / "cal.json")
-    cache.put("k0", {"scale": 1.0})
-    with injected([FaultRule("cache.flush.replace", action="crash")]):
-        with pytest.raises(SimulatedCrashError):
-            cache.put("k1", {"scale": 2.0})
-    assert len(list(tmp_path.glob("cal.json*.tmp"))) == 1
-    # On-disk store still holds only the pre-crash committed entry.
-    fresh = JSONFileCache(tmp_path / "cal.json")
-    assert fresh.get("k0") == {"scale": 1.0}
-    assert fresh.get("k1") is None
-    # Next flush sweeps the orphan and lands the entry.
-    cache.put("k1", {"scale": 2.0})
-    assert list(tmp_path.glob("cal.json*.tmp")) == []
-    assert JSONFileCache(tmp_path / "cal.json").get("k1") == {"scale": 2.0}
-
-
-def test_cache_nonsimulated_error_still_unlinks_its_tmp(tmp_path):
-    from repro.serving.cache import JSONFileCache
-
-    cache = JSONFileCache(tmp_path / "cal.json")
-    with injected([FaultRule("cache.flush.replace", error="io")]):
-        with pytest.raises(OSError):
-            cache.put("k", {"scale": 1.0})
-    # An ordinary error is cleaned up eagerly — no orphan left.
-    assert list(tmp_path.glob("cal.json*.tmp")) == []
+    calibration, hit = cache.get_or_compute(mechanism, query, data)
+    assert not hit
+    assert cache.misses == 2 and cache.hits == 0
+    stored, hit = CalibrationCache(SQLiteCache(path)).get_or_compute(
+        MQMExact(FiniteChainFamily([chain]), 1.0, max_window=10), query, data
+    )
+    assert hit and stored.scale == calibration.scale
 
 
 def test_latency_rule_sleeps_not_raises(store_and_kind):

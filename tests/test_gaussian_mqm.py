@@ -40,7 +40,7 @@ from repro.core.queries import CountQuery
 from repro.distributions.bayesnet import DiscreteBayesianNetwork
 from repro.exceptions import PrivacyParameterError, ValidationError
 from repro.parallel import ParallelCalibrator
-from repro.serving import CalibrationCache, JSONFileCache, PrivacyEngine
+from repro.serving import CalibrationCache, PrivacyEngine, SQLiteCache
 
 INITIAL = np.array([0.8, 0.2])
 TRANSITION = np.array([[0.9, 0.1], [0.4, 0.6]])
@@ -277,7 +277,7 @@ class TestServing:
         shared cache — and the restored state is enough for rdp_curve."""
         query = CountQuery()
         data = np.ones(5)
-        backend = JSONFileCache(tmp_path / "calibrations.json")
+        backend = SQLiteCache(tmp_path / "calibrations.sqlite")
         first = make_mechanism(chain_net)
         engine_a = PrivacyEngine(first, cache=CalibrationCache(backend=backend))
         scale = engine_a.calibrate(query, data).scale

@@ -5,10 +5,9 @@ process, then genuinely separate OS processes — hammering one shared store
 with reserve/consume cycles must stop at **exactly** ``floor(budget /
 epsilon)`` total releases for a linear tenant.  Not approximately: one
 release too many is a privacy violation, one too few means admission
-leaked budget (reservations not returned).  Both the JSON-file and SQLite
-backends are hammered; the cross-process runs use inline ``-c`` programs
-against the same store path, exactly like a fleet of service processes
-sharing a ledger."""
+leaked budget (reservations not returned).  The SQLite store is hammered;
+the cross-process runs use inline ``-c`` programs against the same store
+path, exactly like a fleet of service processes sharing a ledger."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ import pytest
 
 from repro.exceptions import BudgetExhaustedError
 from repro.service.ledger import TenantLedger
-from repro.service.stores import JSONFileLedgerStore, SQLiteLedgerStore
+from repro.service.stores import SQLiteLedgerStore
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -32,12 +31,6 @@ CAP = int(BUDGET / EPSILON)  # 12 releases, total — however many workers race
 
 N_WORKERS = 6
 CHUNK = 2  # releases per reservation attempt
-
-
-def _make_store(kind: str, tmp_path: Path):
-    if kind == "json":
-        return JSONFileLedgerStore(tmp_path / "ledgers.json")
-    return SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
 
 
 def _drain_worker(store, results: list, index: int) -> None:
@@ -66,9 +59,8 @@ def _drain_worker(store, results: list, index: int) -> None:
         results[index] = error
 
 
-@pytest.mark.parametrize("kind", ["json", "sqlite"])
-def test_threads_stop_at_exact_budget(kind, tmp_path):
-    store = _make_store(kind, tmp_path)
+def test_threads_stop_at_exact_budget(tmp_path):
+    store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     try:
         TenantLedger(store, "acme").create(budget=BUDGET)
         results: list = [None] * N_WORKERS
@@ -117,12 +109,11 @@ print(json.dumps({"served": served}))
 """
 
 
-@pytest.mark.parametrize("kind", ["json", "sqlite"])
-def test_processes_stop_at_exact_budget(kind, tmp_path):
-    """The same exactness across OS processes — the store file (JSON with
-    its lock sidecar, SQLite with BEGIN IMMEDIATE) is the only
-    coordination, exactly as for a fleet of service processes."""
-    store = _make_store(kind, tmp_path)
+def test_processes_stop_at_exact_budget(tmp_path):
+    """The same exactness across OS processes — the SQLite file, with its
+    BEGIN IMMEDIATE transactions, is the only coordination, exactly as for
+    a fleet of service processes."""
+    store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     path = str(store.path)
     TenantLedger(store, "acme").create(budget=BUDGET)
     store.close()
@@ -144,7 +135,7 @@ def test_processes_stop_at_exact_budget(kind, tmp_path):
         served.append(json.loads(out)["served"])
 
     assert sum(served) == CAP
-    reopened = _make_store(kind, tmp_path)
+    reopened = SQLiteLedgerStore(store.path)
     try:
         snapshot = TenantLedger(reopened, "acme").snapshot()
         assert snapshot["spent_epsilon"] == pytest.approx(BUDGET)

@@ -1,7 +1,7 @@
 """Conformance of every :class:`~repro.service.stores.LedgerStore` backend.
 
-One parametrized suite: whatever the backend (in-memory dict, JSON file,
-SQLite), a store must provide exclusive read-modify-write transactions,
+One parametrized suite: whatever the backend (in-memory dict or SQLite),
+a store must provide exclusive read-modify-write transactions,
 abandon changes on exception, expose lock-free-safe peeks, and isolate
 tenants.  The cross-process guarantees get their own hammering in
 ``tests/test_ledger_concurrency.py``; this file is the functional floor."""
@@ -15,20 +15,17 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.service.stores import (
     InMemoryLedgerStore,
-    JSONFileLedgerStore,
     SQLiteLedgerStore,
     ledger_store_from_path,
 )
 
-BACKENDS = ("memory", "json", "sqlite")
+BACKENDS = ("memory", "sqlite")
 
 
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "memory":
         built = InMemoryLedgerStore()
-    elif request.param == "json":
-        built = JSONFileLedgerStore(tmp_path / "ledgers.json")
     else:
         built = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     yield built
@@ -107,20 +104,15 @@ def test_threaded_increments_never_lost(store):
     assert store.peek("counter")["n"] == 200
 
 
-def test_json_store_corrupt_file_refused(tmp_path):
-    path = tmp_path / "ledgers.json"
-    path.write_text("{not json")
-    store = JSONFileLedgerStore(path)
-    with pytest.raises(ValidationError, match="corrupt"):
-        store.peek("acme")
-
-
-def test_json_store_survives_missing_file(tmp_path):
-    store = JSONFileLedgerStore(tmp_path / "sub" / "ledgers.json")
-    assert store.peek("acme") is None
-    with store.transact("acme") as txn:
-        txn.state = {"n": 1}
-    assert store.peek("acme") == {"n": 1}
+def test_sqlite_store_creates_missing_directory(tmp_path):
+    store = SQLiteLedgerStore(tmp_path / "sub" / "ledgers.sqlite")
+    try:
+        assert store.peek("acme") is None
+        with store.transact("acme") as txn:
+            txn.state = {"n": 1}
+        assert store.peek("acme") == {"n": 1}
+    finally:
+        store.close()
 
 
 def test_sqlite_store_persists_across_instances(tmp_path):
@@ -143,8 +135,6 @@ def test_sqlite_store_persists_across_instances(tmp_path):
         ("ledgers.sqlite", SQLiteLedgerStore),
         ("ledgers.sqlite3", SQLiteLedgerStore),
         ("ledgers.db", SQLiteLedgerStore),
-        ("ledgers.json", JSONFileLedgerStore),
-        ("ledgers", JSONFileLedgerStore),
     ],
 )
 def test_store_from_path_dispatch(tmp_path, path, expected):
@@ -155,6 +145,27 @@ def test_store_from_path_dispatch(tmp_path, path, expected):
         assert isinstance(store, expected)
     finally:
         store.close()
+
+
+@pytest.mark.parametrize("name", ["ledgers.json", "ledgers"])
+def test_store_from_path_refuses_non_sqlite_suffixes(tmp_path, name):
+    """A path that is not a SQLite database must fail loudly, naming the
+    accepted suffixes — never open as a fresh, empty ledger."""
+    with pytest.raises(ValidationError, match=r"\.sqlite, \.sqlite3, \.db"):
+        ledger_store_from_path(tmp_path / name)
+    assert not (tmp_path / name).exists()
+
+
+def test_store_from_path_leaves_an_old_json_ledger_untouched(tmp_path):
+    """An old JSON ledger holding real spent budget is refused and left
+    byte-for-byte as it was, so no tenant's budget is silently reset."""
+    path = tmp_path / "ledgers.json"
+    original = b'{"acme": {"accountant": {"spent": 3.5}, "reservations": {}}}'
+    path.write_bytes(original)
+    with pytest.raises(ValidationError):
+        ledger_store_from_path(path)
+    assert path.read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ledgers.json"]
 
 
 # -- close(): idempotent, safe mid-transact ---------------------------------
@@ -184,10 +195,7 @@ def test_close_during_transact_lets_the_commit_finish(store):
         with store.transact("acme"):
             pass
     # The commit landed: a fresh store on the same path sees it.
-    if isinstance(store, SQLiteLedgerStore):
-        reborn = SQLiteLedgerStore(store.path)
-    else:
-        reborn = JSONFileLedgerStore(store.path)
+    reborn = SQLiteLedgerStore(store.path)
     try:
         assert reborn.peek("acme") == {"n": 1}
     finally:
@@ -219,19 +227,3 @@ def test_sqlite_close_from_another_thread_waits_for_commit(tmp_path):
         assert reborn.peek("acme") == {"n": 7}
     finally:
         reborn.close()
-
-
-def test_json_close_never_strands_the_lock_sidecar(tmp_path):
-    store = JSONFileLedgerStore(tmp_path / "ledgers.json")
-    with store.transact("acme") as txn:
-        txn.state = {"n": 1}
-        store.close()
-    # Another store (process) on the same path can transact immediately —
-    # the per-transaction inter-process lock was released, not stranded.
-    other = JSONFileLedgerStore(tmp_path / "ledgers.json", lock_timeout=2.0)
-    try:
-        with other.transact("acme") as txn:
-            txn.state["n"] += 1
-        assert other.peek("acme") == {"n": 2}
-    finally:
-        other.close()

@@ -26,7 +26,7 @@ from repro.distributions.chain_family import FiniteChainFamily
 from repro.distributions.markov import MarkovChain
 from repro.exceptions import ValidationError
 from repro.parallel import ParallelCalibrator, as_calibrator
-from repro.serving import CalibrationCache, JSONFileCache, PrivacyEngine
+from repro.serving import CalibrationCache, PrivacyEngine, SQLiteCache
 
 
 class CountingFactory:
@@ -244,11 +244,11 @@ def test_engine_parallel_lands_in_shared_cache(tmp_path):
     family = _two_chains(2)
     query = StateFrequencyQuery(1, 40)
     data = np.zeros(40, dtype=int)
-    path = tmp_path / "calibrations.json"
+    path = tmp_path / "calibrations.sqlite"
     calibrator = _pooled()
     first = PrivacyEngine(
         MQMExact(family, 1.0, max_window=40),
-        cache=CalibrationCache(JSONFileCache(path)),
+        cache=CalibrationCache(SQLiteCache(path)),
         parallel=calibrator,
     )
     cold = first.calibrate(query, data)
@@ -258,7 +258,7 @@ def test_engine_parallel_lands_in_shared_cache(tmp_path):
     # A second engine over the same store: warm hit, no shards executed.
     second = PrivacyEngine(
         MQMExact(family, 1.0, max_window=40),
-        cache=CalibrationCache(JSONFileCache(path)),
+        cache=CalibrationCache(SQLiteCache(path)),
         parallel=_pooled(executor_factory=_forbidden_factory),
     )
     warm = second.calibrate(query, data)
@@ -391,7 +391,7 @@ def test_mqm_general_warm_start_via_engine_cache(tmp_path):
 
     query = CountQuery()
     data = np.zeros(6, dtype=int)
-    backend = JSONFileCache(tmp_path / "calibrations.json")
+    backend = SQLiteCache(tmp_path / "calibrations.sqlite")
     first = MarkovQuiltMechanism([_tree_network()], epsilon=4.0)
     engine_a = PrivacyEngine(first, cache=CalibrationCache(backend=backend))
     scale = engine_a.calibrate(query, data).scale

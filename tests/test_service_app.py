@@ -331,20 +331,26 @@ def test_429_with_nothing_outstanding_is_final(client):
     assert "retry_after" not in refused.json()
 
 
-def test_lock_timeout_is_503_with_retry_after():
+@pytest.mark.parametrize(
+    "kind, error_name",
+    [("sqlite_busy", "OperationalError"), ("io", "OSError")],
+    ids=["sqlite_busy", "io"],
+)
+def test_transient_store_error_is_503_with_retry_after(kind, error_name):
+    """Store contention or an I/O blip the retry layer did not absorb is
+    transient: 503 with Retry-After, never a 500 InternalError."""
     from repro.faults import FaultRule, injected
 
     app = create_app(retry_policy=False)  # raw store: no transparent retry
     client = TestClient(app)
     _tenant(client)
-    with injected(
-        [FaultRule("tenant.reserve", action="error", error="lock_timeout")]
-    ):
+    with injected([FaultRule("tenant.reserve", action="error", error=kind)]):
         response = client.post(
             "/tenants/acme/release", {"workload": "hub-laplace"}
         )
     assert response.status == 503
-    assert response.json()["error"] == "LockTimeoutError"
+    assert response.json()["error"] == error_name
+    assert response.json()["retry_after"] == 1
     assert response.headers["retry-after"] == "1"
     app.service.close()
 
@@ -483,7 +489,7 @@ def test_admin_recover_reclaims_expired_reservations():
 def test_startup_recovery_sweep_runs(tmp_path):
     import time
 
-    path = str(tmp_path / "ledgers.json")
+    path = str(tmp_path / "ledgers.sqlite")
     app = create_app(path, reservation_ttl=0.05)
     client = TestClient(app)
     _tenant(client, budget=2.0, accountant="linear")

@@ -200,8 +200,8 @@ R3_VIOLATING = """\
 
     def swallow_fault(cache):
         try:
-            fire("cache.flush")
-            cache.flush()
+            fire("cache.sqlite.put")
+            cache.put()
         except Exception:
             pass
 """
@@ -219,8 +219,8 @@ R3_COMPLIANT = """\
 
     def handled(cache):
         try:
-            fire("cache.flush")
-            cache.flush()
+            fire("cache.sqlite.put")
+            cache.put()
         except Exception as error:
             return {"error": str(error)}
 """
@@ -293,17 +293,17 @@ def test_r4_quiet_on_seeded_and_sorted(tmp_path):
 
 # -- R5: fault-point conformance ---------------------------------------------
 
-DECLARED = ("cache.flush", "tenant.consume")
+DECLARED = ("cache.sqlite.put", "tenant.consume")
 
 
 def test_r5_flags_undeclared_fire_site(tmp_path):
     source = """\
         from repro.faults import fire
 
-        def flush(point):
-            fire("cache.flsh")  # typo'd
+        def store(point):
+            fire("cache.sqlite.pt")  # typo'd
             fire(point)  # dynamic: unauditable
-            fire("cache.flush")  # declared: fine
+            fire("cache.sqlite.put")  # declared: fine
     """
     result = run_lint(
         tmp_path,
@@ -313,7 +313,7 @@ def test_r5_flags_undeclared_fire_site(tmp_path):
     )
     assert rules_hit(result) == ["R5"]
     messages = " ".join(f.message for f in result.findings)
-    assert "cache.flsh" in messages
+    assert "cache.sqlite.pt" in messages
     assert "string-literal" in messages
     assert len(result.findings) == 2
 
